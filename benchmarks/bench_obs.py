@@ -97,6 +97,7 @@ def test_disabled_tracer_overhead(record_speedup):
         )
 
         # -- 3: what tracing *on* costs (reported, not asserted) -------
+        OUT_PATH.parent.mkdir(exist_ok=True)
         trace_path = OUT_PATH.parent / "bench_obs_trace.jsonl"
         obs.activate(
             Tracer(

@@ -59,21 +59,26 @@ class EscapeAnalysis:
             )
         self.worst = worst
         self.average = average
+        self._nmins: list[int | None] | None = None
+
+    def _analyzed_nmins(self) -> list[int | None]:
+        """``nmin(g)`` of each analyzed fault, in ``fault_indices`` order."""
+        if self._nmins is None:
+            by_index = {r.fault_index: r.nmin for r in self.worst.records}
+            self._nmins = [by_index[j] for j in self.average.fault_indices]
+        return self._nmins
 
     def report(self, n: int) -> EscapeReport:
         """Escape metrics at one ``n`` (1 <= n <= family n_max)."""
-        indices = self.average.fault_indices
-        by_index = {r.fault_index: r for r in self.worst.records}
-        worst_escapes = sum(
-            1
-            for j in indices
-            if by_index[j].nmin is None or by_index[j].nmin > n
-        )
+        nmins = self._analyzed_nmins()
+        worst_escapes = sum(1 for m in nmins if m is None or m > n)
         probs = self.average.probabilities(n)
+        # Left-to-right float sum in fault order: the rendered digits
+        # depend on it (numpy's pairwise summation can move a last bit).
         expected = sum(1.0 - p for p in probs)
         return EscapeReport(
             n=n,
-            analyzed_faults=len(indices),
+            analyzed_faults=len(nmins),
             worst_case_escapes=worst_escapes,
             expected_escapes=expected,
         )

@@ -3,15 +3,34 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import average_case
 from repro.core.average_case import (
     TABLE5_THRESHOLDS,
     AverageCaseAnalysis,
+    detection_counts,
     probability_histogram,
+    snapshot_deltas,
 )
 from repro.core.procedure1 import build_random_ndetection_sets
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import AnalysisError
+from repro.logic.packed import PackedSignatureMatrix
+
+
+def _oracle_counts(snapshots, signatures):
+    """``d(n, g)`` by the definition: big-int ANDs, one ``n`` at a time."""
+    return [
+        [sum(1 for tk in snap if tk & sig) for sig in signatures]
+        for snap in snapshots
+    ]
+
+
+def _one_pass_counts(snapshots, signatures, size):
+    words = PackedSignatureMatrix.from_bigints(signatures, size).words
+    return detection_counts(snapshot_deltas(snapshots, size), words).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +193,73 @@ class TestValidation:
         assert len(avg.probabilities(1)) == len(
             example_universe.untargeted_table
         )
+
+
+@st.composite
+def _nested_snapshots(draw):
+    """Random nested snapshots and signatures over a ``size``-bit universe.
+
+    Sparse bit sets (a few positions each) keep both hits and misses
+    common; sizes up to 200 put bits on either side of word boundaries.
+    """
+    size = draw(st.integers(1, 200))
+    bitset = st.sets(st.integers(0, size - 1), max_size=4).map(
+        lambda bits: sum(1 << b for b in bits)
+    )
+    num_sets = draw(st.integers(1, 6))
+    current = [0] * num_sets
+    snapshots = []
+    for _ in range(draw(st.integers(1, 5))):
+        current = [tk | draw(bitset) for tk in current]
+        snapshots.append(current)
+    signatures = draw(st.lists(bitset, max_size=12))
+    return size, snapshots, signatures
+
+
+class TestOnePassCounts:
+    """:func:`detection_counts` ≡ the per-n big-int definition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_snapshots())
+    def test_matches_oracle(self, case):
+        size, snapshots, signatures = case
+        assert _one_pass_counts(snapshots, signatures, size) == (
+            _oracle_counts(snapshots, signatures)
+        )
+
+    def test_row_blocks_and_word_boundaries(self, monkeypatch):
+        monkeypatch.setattr(average_case, "_ROW_BLOCK", 3)
+        size = 130  # three words; bits 63/64 and 128/129 straddle them
+        snapshots = [[1 << 63, 1 << 129], [1 << 63 | 1 << 64, 1 << 129 | 1]]
+        signatures = [1 << 64, 1, 1 << 63, 1 << 128, 1 << 129, 0, 3 << 63]
+        assert _one_pass_counts(snapshots, signatures, size) == (
+            _oracle_counts(snapshots, signatures)
+        )
+
+    def test_analysis_matches_oracle(self, setup, example_universe):
+        family, avg, _wc = setup
+        signatures = example_universe.untargeted_table.signatures
+        assert avg.counts.tolist() == _oracle_counts(
+            family.snapshots, signatures
+        )
+
+    def test_non_nested_snapshots_rejected(self):
+        with pytest.raises(AnalysisError, match="nested"):
+            snapshot_deltas([[0b11], [0b01]], size=4)
+
+    def test_word_count_mismatch_rejected(self):
+        deltas = snapshot_deltas([[0b1]], size=64)
+        words = PackedSignatureMatrix.from_bigints([1], 65).words
+        with pytest.raises(AnalysisError, match="word count"):
+            detection_counts(deltas, words)
+
+    def test_fault_outside_subset(self, setup, example_universe):
+        family, _avg, _wc = setup
+        table = example_universe.untargeted_table
+        sub = AverageCaseAnalysis(family, table, fault_indices=[0])
+        last = len(table) - 1
+        expected = _oracle_counts(family.snapshots, [table.signatures[last]])
+        for n in range(1, family.n_max + 1):
+            assert sub.detection_probability(n, last) == (
+                expected[n - 1][0] / family.num_sets
+            )

@@ -20,7 +20,10 @@ engines agree wherever their domains overlap.
   ``jobs=1`` vs ``jobs=2``, across the big-int and numpy-packed
   representations, uniform and stratified alike; and a budget covering
   ``2**p`` canonicalizes to the exact exhaustive result, like the
-  full-sample sampled draw does.
+  full-sample sampled draw does;
+* the average case — the one-pass packed ``d(n, g)`` equals the
+  big-int per-n definition exactly, for every ``n`` and fault, on every
+  backend's table, both counting rules and multi-word universes.
 
 The numpy-packed engine's differential suite lives in
 ``tests/test_packed_differential.py`` (kept separate so this module
@@ -48,6 +51,7 @@ from repro.faultsim.backends import (
     SampledBackend,
     SerialBackend,
 )
+from repro.logic.packed import have_numpy
 from repro.parallel import ParallelBackend
 
 #: Representative tier-1 subset; REPRO_DIFF_SUITE=full sweeps them all.
@@ -711,6 +715,7 @@ class TestSampledPipeline:
         circuit = random_circuit(12, num_inputs=6, num_gates=14)
         return FaultUniverse(circuit, backend=SampledBackend(24, seed=5))
 
+    @pytest.mark.skipif(not have_numpy(), reason="the average case needs numpy")
     def test_procedure1_average_case_escape(self, universe):
         family = build_random_ndetection_sets(
             universe.target_table, n_max=3, num_sets=10, seed=1
@@ -762,3 +767,104 @@ class TestSampledPipeline:
         )
         with pytest.raises(AnalysisError, match="universe"):
             AverageCaseAnalysis(family, universe.untargeted_table)
+
+
+def _oracle_counts(family, table, rows):
+    """``d(n, g)`` by the definition: big-int ANDs, one ``n`` at a time."""
+    return [
+        [
+            sum(1 for tk in family.snapshots[n - 1] if tk & table.signatures[j])
+            for j in rows
+        ]
+        for n in range(1, family.n_max + 1)
+    ]
+
+
+@pytest.mark.skipif(not have_numpy(), reason="the average case needs numpy")
+class TestAverageCaseDifferential:
+    """One-pass packed ``d(n, g)`` ≡ the big-int per-n oracle, exactly.
+
+    Every ``n`` and every analyzed fault, on every backend's table (big
+    ints packed on the fly, and born-packed words), for both counting
+    rules, subsets, and multi-word universes.
+    """
+
+    @staticmethod
+    def _assert_matches(family, table, fault_indices=None):
+        average = AverageCaseAnalysis(family, table, fault_indices)
+        rows = average.fault_indices
+        expected = _oracle_counts(family, table, rows)
+        assert average.counts.tolist() == expected
+        for n in range(1, family.n_max + 1):
+            assert average.probabilities(n) == [
+                d / family.num_sets for d in expected[n - 1]
+            ]
+        return average
+
+    @pytest.mark.parametrize("counting", ["def1", "def2"])
+    def test_every_backend(self, counting):
+        from repro.faultsim.backends import PackedBackend
+
+        circuit = random_circuit(31, num_inputs=6, num_gates=14)
+        for backend in (
+            ExhaustiveBackend(),
+            SampledBackend(24, seed=3),
+            PackedBackend(),
+            PackedBackend(samples=24, seed=3),
+        ):
+            universe = FaultUniverse(circuit, backend=backend)
+            family = build_random_ndetection_sets(
+                universe.target_table, n_max=4, num_sets=12, seed=5,
+                counting=counting,
+            )
+            self._assert_matches(family, universe.untargeted_table)
+
+    def test_subset_and_outside_fault(self):
+        circuit = random_circuit(32, num_inputs=6, num_gates=16)
+        universe = FaultUniverse(circuit, backend=ExhaustiveBackend())
+        table = universe.untargeted_table
+        family = build_random_ndetection_sets(
+            universe.target_table, n_max=3, num_sets=10, seed=2
+        )
+        subset = list(range(0, len(table), 3))[::-1]
+        average = self._assert_matches(family, table, subset)
+        outside = sorted(set(range(len(table))) - set(subset))
+        expected = _oracle_counts(family, table, outside)
+        for n in range(1, 4):
+            for col, j in enumerate(outside):
+                assert average.detection_probability(n, j) == (
+                    expected[n - 1][col] / family.num_sets
+                )
+
+    def test_multiword_exhaustive_ex2(self):
+        # ex2: 7 inputs, U = 128 — two words per signature.
+        from repro.bench_suite.registry import get_circuit
+        from repro.faultsim.backends import PackedBackend
+
+        universe = FaultUniverse(get_circuit("ex2"), backend=PackedBackend())
+        assert universe.untargeted_table.universe.size == 128
+        family = build_random_ndetection_sets(
+            universe.target_table, n_max=3, num_sets=16, seed=7
+        )
+        self._assert_matches(family, universe.untargeted_table)
+
+    def test_multiword_sampled_k1024(self):
+        circuit = random_circuit(33, num_inputs=14, num_gates=30)
+        universe = FaultUniverse(
+            circuit, backend=SampledBackend(1024, seed=4)
+        )
+        assert universe.untargeted_table.universe.size == 1024
+        family = build_random_ndetection_sets(
+            universe.target_table, n_max=3, num_sets=8, seed=1
+        )
+        self._assert_matches(family, universe.untargeted_table)
+
+    @pytest.mark.parametrize("name", _suite_circuits())
+    def test_suite_circuit(self, name):
+        from repro.bench_suite.registry import get_circuit
+
+        universe = FaultUniverse(get_circuit(name), backend=ExhaustiveBackend())
+        family = build_random_ndetection_sets(
+            universe.target_table, n_max=3, num_sets=8, seed=2005
+        )
+        self._assert_matches(family, universe.untargeted_table)
